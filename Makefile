@@ -24,10 +24,10 @@ verify:
 
 # race runs the concurrency-sensitive packages (the parallel host backend
 # and its consumers, including the compiled-program runtime, the hardening
-# layer's fault-injection points, and the graph loaders) under the race
-# detector.
+# layer's fault-injection points, the graph loaders, and the fanned-out
+# schedule search with the simulator it runs) under the race detector.
 race:
-	$(GO) test -race ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/... ./internal/schedule/... ./internal/gpu/...
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").

@@ -35,8 +35,8 @@ import (
 //     attach one — NewTraceState/ContextWithTrace/MintTraceID belong to
 //     the admission layer (DESIGN.md §8); a layer that mints breaks the
 //     one-tree-per-request invariant and allocates on the hot path.
-//   - goroutine-accounting: every `go` statement in internal/serve and
-//     internal/program must be visibly tracked — a WaitGroup Add before
+//   - goroutine-accounting: every `go` statement in internal/serve,
+//     internal/program and internal/schedule must be visibly tracked — a WaitGroup Add before
 //     the spawn, a body that signals completion via a deferred Done() or
 //     by closing a channel — or carry an explicit allow directive. An
 //     unaccounted goroutine is a leak the drain/cancellation machinery
@@ -110,7 +110,7 @@ var hookDisciplinedDirs = []string{"internal/core", "internal/program"}
 
 // goroutineScopedDirs are the package directories (by path suffix) whose go
 // statements the goroutine-accounting rule audits.
-var goroutineScopedDirs = []string{"internal/serve", "internal/program"}
+var goroutineScopedDirs = []string{"internal/serve", "internal/program", "internal/schedule"}
 
 // traceMintFuncs are the telemetry functions that create or attach a trace
 // context. Only the admission layer (internal/serve) may call them; the

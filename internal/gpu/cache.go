@@ -47,28 +47,33 @@ func NewCache(capacityBytes, lineBytes, ways int) *Cache {
 }
 
 // Access touches a line address and reports whether it hit. A miss installs
-// the line, evicting the set's LRU way.
+// the line, evicting the set's LRU way (the lowest way among equally old
+// ones, so invalid ways fill in order).
+//
+// Hits dominate, so the tags are scanned alone first and the stamps only on
+// a miss.
 func (c *Cache) Access(line int64) bool {
 	c.tick++
 	c.accesses++
 	set := int(uint64(line) % uint64(c.sets))
 	base := set * c.ways
-	var lruIdx int
-	lruStamp := int64(1) << 62
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.tags[i] == line {
-			c.stamps[i] = c.tick
+	tags := c.tags[base : base+c.ways]
+	for w, tag := range tags {
+		if tag == line {
+			c.stamps[base+w] = c.tick
 			c.hits++
 			return true
 		}
-		if c.stamps[i] < lruStamp {
-			lruStamp = c.stamps[i]
-			lruIdx = i
+	}
+	stamps := c.stamps[base : base+c.ways]
+	lru, oldest := 0, stamps[0]
+	for w := 1; w < len(stamps); w++ {
+		if st := stamps[w]; st < oldest {
+			lru, oldest = w, st
 		}
 	}
-	c.tags[lruIdx] = line
-	c.stamps[lruIdx] = c.tick
+	tags[lru] = line
+	stamps[lru] = c.tick
 	return false
 }
 

@@ -110,6 +110,7 @@ type fakeKernel struct {
 	work        BlockWork
 	lineSpread  int64 // lines per block trace
 	linesShared bool  // all blocks touch the same lines
+	lineBase    int64 // first line address
 }
 
 func (f fakeKernel) NumBlocks() int            { return f.blocks }
@@ -122,9 +123,9 @@ func (f fakeKernel) Footprint() int64 {
 	return int64(f.blocks) * f.lineSpread * 128
 }
 func (f fakeKernel) TraceBlock(b int, visit func(WarpAccess)) {
-	base := int64(0)
+	base := f.lineBase
 	if !f.linesShared {
-		base = int64(b) * f.lineSpread
+		base += int64(b) * f.lineSpread
 	}
 	for i := int64(0); i < f.lineSpread; i++ {
 		visit(WarpAccess{Lines: []int64{base + i}})

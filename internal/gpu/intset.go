@@ -1,29 +1,30 @@
 package gpu
 
-// lineSet is a grow-on-demand open-addressing hash set of int64 line
-// addresses. The simulator inserts every sampled trace line once per run to
-// measure the sample's working set; Go's built-in map costs ~3x more per
-// operation for this access pattern.
+// lineSet is a grow-on-demand open-addressing hash set of line addresses in
+// [0, 2^31) (see WarpAccess), stored in 32-bit slots. The simulator inserts
+// every sampled trace line once per run to measure the sample's working
+// set; Go's built-in map costs ~3x more per operation for this access
+// pattern.
 type lineSet struct {
-	slots []int64
+	slots []uint32
 	used  int
 }
 
-const lineSetEmpty = int64(-1)
+const lineSetEmpty = ^uint32(0)
 
 func newLineSet(capacityHint int) *lineSet {
 	size := 1 << 10
 	for size < capacityHint*2 {
 		size <<= 1
 	}
-	s := &lineSet{slots: make([]int64, size)}
+	s := &lineSet{slots: make([]uint32, size)}
 	for i := range s.slots {
 		s.slots[i] = lineSetEmpty
 	}
 	return s
 }
 
-// Add inserts v (must be >= 0) and reports whether it was new.
+// Add inserts v (must be in [0, 2^31)) and reports whether it was new.
 func (s *lineSet) Add(v int64) bool {
 	if s.used*2 >= len(s.slots) {
 		s.grow()
@@ -32,14 +33,25 @@ func (s *lineSet) Add(v int64) bool {
 	h := uint64(v) * 0x9e3779b97f4a7c15
 	for i := h & mask; ; i = (i + 1) & mask {
 		switch s.slots[i] {
-		case v:
+		case uint32(v):
 			return false
 		case lineSetEmpty:
-			s.slots[i] = v
+			s.slots[i] = uint32(v)
 			s.used++
 			return true
 		}
 	}
+}
+
+// reset empties the set, keeping its capacity.
+func (s *lineSet) reset() {
+	if s.used == 0 {
+		return
+	}
+	for i := range s.slots {
+		s.slots[i] = lineSetEmpty
+	}
+	s.used = 0
 }
 
 // Len returns the number of distinct values inserted.
@@ -47,14 +59,14 @@ func (s *lineSet) Len() int { return s.used }
 
 func (s *lineSet) grow() {
 	old := s.slots
-	s.slots = make([]int64, len(old)*2)
+	s.slots = make([]uint32, len(old)*2)
 	for i := range s.slots {
 		s.slots[i] = lineSetEmpty
 	}
 	s.used = 0
 	for _, v := range old {
 		if v != lineSetEmpty {
-			s.Add(v)
+			s.Add(int64(v))
 		}
 	}
 }

@@ -87,7 +87,8 @@ func (w *BlockWork) Add(other BlockWork) {
 }
 
 // WarpAccess is one warp-level memory operation in a trace: the distinct
-// line addresses the 32 lanes touch after coalescing.
+// line addresses the 32 lanes touch after coalescing. Line addresses lie in
+// [0, 2^31), which lets Simulate record a trace at 4 bytes per line.
 type WarpAccess struct {
 	Lines  []int64
 	Atomic bool

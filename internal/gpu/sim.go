@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 )
 
@@ -86,6 +87,27 @@ func WithMaxWorkBlocks(n int) Option {
 //  3. Kernel time is the makespan, floored by device-wide L2, DRAM and
 //     atomic bandwidth demands.
 func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
+	return new(Simulator).Simulate(d, k, opts...)
+}
+
+// Simulator runs Simulate with trace buffers it keeps between calls, so a
+// sequence of simulations (one worker's share of a grid search) reuses one
+// another's grown storage instead of regrowing it each call. Results are
+// identical to Simulate's. The zero value is ready to use; a Simulator must
+// not run two simulations at once, and frees its buffers only when it is
+// itself garbage.
+type Simulator struct {
+	trace     []uint32
+	blockEnds []int
+	distinct  *lineSet
+	// l1s are the simulated L1s of the last call, reset for reuse when the
+	// next call asks for the same geometry (l1Geom: bytes, line, ways).
+	l1s    []*Cache
+	l1Geom [3]int
+}
+
+// Simulate is the package-level Simulate on s's buffers.
+func (s *Simulator) Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	cfg := simConfig{maxSampledBlocks: 192, maxWorkBlocks: 16384, maxTraceLines: 1 << 20, l1Ways: 4, l2Ways: 16}
 	for _, o := range opts {
 		o(&cfg)
@@ -116,28 +138,35 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	// pass needed.
 	// The trace is generated once and recorded, because generating it is
 	// the expensive part: the first walk measures the working set (to size
-	// the L2), the replay feeds the caches. Each access is one traceBounds
-	// entry holding its line count, negated for atomics; blockEnds marks
-	// access boundaries between blocks so the replay keeps each block on
-	// one L1.
-	distinct := newLineSet(1 << 12)
-	var traceLines []int64
-	var traceBounds []int32
-	blockEnds := make([]int, 0, sampled)
-	for i := 0; i < sampled && len(traceLines) < cfg.maxTraceLines; i++ {
-		k.TraceBlock(i*stride, func(a WarpAccess) {
-			for _, line := range a.Lines {
-				distinct.Add(line)
-			}
-			traceLines = append(traceLines, a.Lines...)
-			n := int32(len(a.Lines))
-			if a.Atomic {
-				n = -n
-			}
-			traceBounds = append(traceBounds, n)
-		})
-		blockEnds = append(blockEnds, len(traceBounds))
+	// the L2), the replay feeds the caches. Each traced line is one 32-bit
+	// trace word, its top bit set for atomics; blockEnds marks the trace
+	// position where each block ends so the replay keeps each block on one
+	// L1.
+	if s.distinct == nil {
+		s.distinct = newLineSet(1 << 12)
 	}
+	distinct := s.distinct
+	distinct.reset()
+	trace, blockEnds := s.trace[:0], s.blockEnds[:0]
+	for i := 0; i < sampled && len(trace) < cfg.maxTraceLines; i++ {
+		k.TraceBlock(i*stride, func(a WarpAccess) {
+			var flag uint32
+			if a.Atomic {
+				flag = traceAtomic
+			}
+			for _, line := range a.Lines {
+				if uint64(line) >= traceAtomic {
+					// Invariant: Kernel implementations address lines
+					// below 2^31 (core's eight 1 GiB segments use 2^26).
+					panic(fmt.Sprintf("gpu: trace line %d outside [0, 2^31)", line))
+				}
+				distinct.Add(line)
+				trace = append(trace, uint32(line)|flag)
+			}
+		})
+		blockEnds = append(blockEnds, len(trace))
+	}
+	s.trace, s.blockEnds = trace, blockEnds
 	sampled = len(blockEnds) // blocks actually traced within the line budget
 	sampleWS := float64(distinct.Len()) * float64(d.LineBytes)
 	footprint := float64(k.Footprint())
@@ -153,44 +182,34 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	if l1Pool > sampled {
 		l1Pool = sampled
 	}
-	l1s := make([]*Cache, l1Pool)
-	for i := range l1s {
-		l1s[i] = NewCache(d.L1Bytes, d.LineBytes, cfg.l1Ways)
-	}
+	l1s := s.l1Caches(l1Pool, [3]int{d.L1Bytes, d.LineBytes, cfg.l1Ways})
 	// Replay the recorded trace block by block, each block pinned to one
 	// simulated L1.
 	var l1Acc, l1Hit, l2Acc, l2Hit int64
 	pos := 0
-	access := 0
-	for i := 0; i < len(blockEnds); i++ {
+	for i, end := range blockEnds {
 		l1 := l1s[i%l1Pool]
-		for ; access < blockEnds[i]; access++ {
-			n := traceBounds[access]
-			atomic := n < 0
-			if atomic {
-				n = -n
-			}
-			for _, line := range traceLines[pos : pos+int(n)] {
-				l1Acc++
-				if atomic {
-					// Atomics bypass L1 and resolve at L2.
-					l2Acc++
-					if l2.Access(line) {
-						l2Hit++
-					}
-					continue
-				}
-				if l1.Access(line) {
-					l1Hit++
-					continue
-				}
+		for _, word := range trace[pos:end] {
+			line := int64(word &^ traceAtomic)
+			l1Acc++
+			if word&traceAtomic != 0 {
+				// Atomics bypass L1 and resolve at L2.
 				l2Acc++
 				if l2.Access(line) {
 					l2Hit++
 				}
+				continue
 			}
-			pos += int(n)
+			if l1.Access(line) {
+				l1Hit++
+				continue
+			}
+			l2Acc++
+			if l2.Access(line) {
+				l2Hit++
+			}
 		}
+		pos = end
 	}
 	m.SampledBlocks = sampled
 	l1HitRate := 0.0
@@ -397,6 +416,25 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	m.Occupancy = math.Min(occ, 1)
 	return m
 }
+
+// l1Caches returns n empty L1 caches of the given geometry, reusing the
+// previous call's caches where they match.
+func (s *Simulator) l1Caches(n int, geom [3]int) []*Cache {
+	if geom != s.l1Geom {
+		s.l1s, s.l1Geom = s.l1s[:0], geom
+	}
+	for _, c := range s.l1s[:min(n, len(s.l1s))] {
+		c.Reset()
+	}
+	for len(s.l1s) < n {
+		s.l1s = append(s.l1s, NewCache(geom[0], geom[1], geom[2]))
+	}
+	return s.l1s[:n]
+}
+
+// traceAtomic flags an atomic access in a recorded trace word; the low 31
+// bits hold the line address.
+const traceAtomic = 1 << 31
 
 // smHeap is a min-heap of SM loads for greedy list scheduling.
 type smHeap []smLoad

@@ -3,17 +3,26 @@
 // (§5.4, Fig. 12). The full space — 4 basic strategies x grouping x tiling
 // parameters — is explored by simulating each candidate kernel and ranking
 // by predicted cycles.
+//
+// The search fans its candidates out over runtime.GOMAXPROCS(0) goroutines
+// for the duration of one GridSearch call. Results are collected by
+// candidate index, so the ranking — order, tie-breaks and every Metrics
+// field — is bit-identical to a serial search at any worker count
+// (testdata/gridsearch_golden.txt pins it).
 package schedule
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/ops"
+	"repro/internal/telemetry"
 )
 
 // GroupValues and TileValues are the power-of-two knob settings that appear
@@ -72,27 +81,81 @@ type Candidate struct {
 
 // Evaluate simulates a single schedule for the task.
 func Evaluate(t Task, s core.Schedule, opts ...gpu.Option) (Candidate, error) {
-	m, err := core.Estimate(t.Graph, t.Op, t.Feat, t.ACols, t.BCols, s, t.Device, opts...)
+	return evaluate(t, s, new(gpu.Simulator), opts)
+}
+
+// evaluate is core.Estimate on sim's reusable trace buffers: compile the
+// schedule, build its kernel model, simulate it.
+func evaluate(t Task, s core.Schedule, sim *gpu.Simulator, opts []gpu.Option) (Candidate, error) {
+	p, err := core.Compile(t.Op, s)
 	if err != nil {
 		return Candidate{}, err
 	}
-	return Candidate{Schedule: s, Metrics: m}, nil
+	k := p.Kernel(t.Graph, t.Feat, t.ACols, t.BCols, t.Device)
+	return Candidate{Schedule: s, Metrics: sim.Simulate(t.Device, k, opts...)}, nil
 }
 
 // GridSearch evaluates every schedule in space (default: Space()) and
 // returns the candidates sorted by ascending cycles. Schedules that fail to
 // compile for the operator are skipped.
+//
+// Candidates are evaluated on runtime.GOMAXPROCS(0) goroutines that claim
+// indices from a shared cursor, each reusing one gpu.Simulator's trace
+// buffers for all its candidates; each result lands in the slot of its index,
+// so the list handed to the sort is in space order whatever the worker
+// count, and the ranking and its tie-breaks are bit-identical to a serial
+// search. A panic in any evaluation stops the other workers from
+// claiming more work and is re-raised on the calling goroutine once they
+// have all returned.
 func GridSearch(t Task, space []core.Schedule, opts ...gpu.Option) []Candidate {
 	if space == nil {
 		space = Space()
 	}
-	out := make([]Candidate, 0, len(space))
-	for _, s := range space {
-		c, err := Evaluate(t, s, opts...)
-		if err != nil {
-			continue
+	evals := make([]Candidate, len(space))
+	valid := make([]bool, len(space))
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(space) {
+		workers = len(space)
+	}
+	var (
+		cursor    atomic.Int64
+		stop      atomic.Bool
+		panicOnce sync.Once
+		panicVal  any
+		wg        sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicVal = r })
+					stop.Store(true)
+				}
+			}()
+			var sim gpu.Simulator
+			for !stop.Load() {
+				i := int(cursor.Add(1) - 1)
+				if i >= len(space) {
+					return
+				}
+				c, err := evaluate(t, space[i], &sim, opts)
+				evals[i], valid[i] = c, err == nil
+			}
+		}()
+	}
+	wg.Wait()
+	if stop.Load() {
+		// Invariant: only a bug in the kernel model or the simulator panics
+		// here; re-raise it where a serial search would have raised it.
+		panic(panicVal)
+	}
+	out := evals[:0]
+	for i, c := range evals {
+		if valid[i] {
+			out = append(out, c)
 		}
-		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
 	return out
@@ -161,6 +224,9 @@ type cacheKey struct {
 	dev    string
 }
 
+// MetricSearches counts the grid searches Tuners run (their cache misses).
+const MetricSearches = "ugrapher_schedule_searches_total"
+
 // Tuner performs cached grid search.
 type Tuner struct {
 	mu    sync.Mutex
@@ -187,6 +253,7 @@ func (tu *Tuner) Tune(t Task) (Candidate, bool) {
 		return c, true
 	}
 	tu.mu.Unlock()
+	telemetry.Default().Counter(MetricSearches).Inc()
 	best, ok := Best(t, PrunedSpace(t), tu.Opts...)
 	if !ok {
 		return Candidate{}, false

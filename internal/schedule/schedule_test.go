@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -200,5 +201,22 @@ func TestGridSearchNilSpaceUsesFull(t *testing.T) {
 	cands := GridSearch(task, nil, gpu.WithMaxSampledBlocks(8))
 	if len(cands) != len(Space()) {
 		t.Errorf("nil space should use the full space: %d vs %d", len(cands), len(Space()))
+	}
+}
+
+// TestGridSearchPanicReachesCaller: a panic inside a fan-out worker is
+// re-raised on the goroutine that called GridSearch, where it can be
+// recovered, instead of crashing the process from a background goroutine.
+func TestGridSearchPanicReachesCaller(t *testing.T) {
+	task := smallTask(t, false)
+	task.Device = nil // every candidate's kernel model dereferences the device
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.NumCPU())))
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		GridSearch(task, nil)
+		return nil
+	}()
+	if _, ok := r.(runtime.Error); !ok {
+		t.Fatalf("recovered %v (%T), want the worker's runtime.Error", r, r)
 	}
 }

@@ -221,16 +221,19 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := gpu.V100()
+	// One tuner serves both programs: schedule cost comes from the
+	// simulator whatever the backend, so the degraded compile reuses every
+	// schedule the primary compile searched for instead of searching again.
+	tuned := models.NewTunedEngine(gpu.V100())
 	// Compile time is a stage like any other: cache misses below record into
 	// the per-model stage histogram so a cold start is attributable.
 	compileStart := time.Now()
 	primary, err := s.cache.Get(
 		cacheKey{Model: m.Name(), Dataset: s.cfg.Dataset, Backend: b.Name(), Shards: s.cfg.Shards},
 		func() (*program.CompiledProgram, error) {
-			eng := models.NewTunedEngine(dev)
+			eng := *tuned
 			eng.Compute = b
-			return models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, eng)
+			return models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, &eng)
 		})
 	if err != nil {
 		return nil, err
@@ -242,9 +245,9 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	fallback, err := s.cache.Get(
 		cacheKey{Model: m.Name(), Dataset: s.cfg.Dataset, Backend: rb.Name(), Shards: s.cfg.Shards},
 		func() (*program.CompiledProgram, error) {
-			eng := models.NewTunedEngine(dev)
+			eng := *tuned
 			eng.Compute = rb
-			return models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, eng)
+			return models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, &eng)
 		})
 	if err != nil {
 		return nil, err

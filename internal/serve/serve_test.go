@@ -19,6 +19,8 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/models"
 	"repro/internal/program"
+	"repro/internal/schedule"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -579,5 +581,39 @@ func TestCustomFeaturesRunSolo(t *testing.T) {
 	row := want.Data[17*want.Cols : 18*want.Cols]
 	if d := maxAbsDiff(resp.Logits[0], row); d > 1e-4 {
 		t.Errorf("custom-features output maxdiff %g vs reference", d)
+	}
+}
+
+// TestHostSearchesOncePerTask: a host's primary and degraded programs share
+// one tuner, so each (model, op, width) task is grid-searched once, not
+// once per program.
+func TestHostSearchesOncePerTask(t *testing.T) {
+	searches := func() int64 { return telemetry.Default().CounterValues()[schedule.MetricSearches] }
+	cfg := Config{Models: []string{"GCN", "GAT"}}
+	cfg.applyDefaults()
+	g, _, err := datasets.Load(cfg.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One program per model on a fresh engine counts the model's tasks.
+	var want int64
+	for _, name := range cfg.Models {
+		m, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := searches()
+		if _, err := models.CompileModel(m, g, cfg.Feat, cfg.Classes, models.NewTunedEngine(gpu.V100())); err != nil {
+			t.Fatal(err)
+		}
+		want += searches() - before
+	}
+	if want == 0 {
+		t.Fatal("compiling GCN and GAT ran no grid search")
+	}
+	before := searches()
+	newTestServer(t, cfg)
+	if got := searches() - before; got != want {
+		t.Errorf("serving GCN and GAT ran %d grid searches, want %d (one per task, shared by both programs)", got, want)
 	}
 }
