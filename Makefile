@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-models bench-obs bench-shard bench-fusion bench-waves race vet faults obs lint verify serve e2e
+.PHONY: build test check bench bench-models bench-obs bench-shard bench-fusion race vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
@@ -93,11 +93,3 @@ bench-shard:
 # machine-readable summary.
 bench-fusion:
 	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_fusion.json ext-fusion
-
-# bench-waves compares wave-parallel step execution (provably independent
-# compiled steps dispatched concurrently under the verified wave schedule)
-# against the sequential step loop on all six models over AR and PR, writing
-# BENCH_waves.json as the committed machine-readable summary. Width-1
-# schedules are the control: they take the sequential path in both arms.
-bench-waves:
-	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_waves.json ext-waves

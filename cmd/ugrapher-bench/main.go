@@ -44,7 +44,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot")
 	profile := flag.Bool("profile", false, "print a per-kernel profile table at exit")
-	parallelSteps := flag.Bool("parallel-steps", false, "execute provably independent compiled steps concurrently (verified wave schedule)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ugrapher-bench [flags] <experiment|all|list>\n\nflags:\n")
 		flag.PrintDefaults()
@@ -96,7 +95,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	program.SetParallelSteps(*parallelSteps)
 	if *datasets != "" {
 		opts.Datasets = strings.Split(*datasets, ",")
 	}
@@ -194,11 +192,6 @@ type experimentSummary struct {
 	// (process-wide compile counters diffed around the run).
 	FusedRegions int64 `json:"fused_regions"`
 	GemmBlocked  int64 `json:"gemm_blocked"`
-	// Waves counts the verified wave-schedule levels compiled while the
-	// experiment ran (process-wide counter diffed around the run), and
-	// WavesVerified the wave-schedule verification passes behind them.
-	Waves         int64 `json:"waves"`
-	WavesVerified int64 `json:"waves_verified"`
 	// Verified reports whether the static analysis ran over the experiment's
 	// compiled artifacts and found no violations. False means no plan or
 	// program was compiled during the run (nothing was verified) — a clean
@@ -252,20 +245,18 @@ func runOne(e bench.Experiment, opts bench.Options, csvOut bool, summaries *[]ex
 	fmt.Printf("(%s: simulated cycles in table; host wall-clock %v, backend=%s)\n\n",
 		e.ID, wall.Round(time.Millisecond), b.Name())
 	*summaries = append(*summaries, experimentSummary{
-		Experiment:    e.ID,
-		Title:         e.Title,
-		Datasets:      opts.Datasets,
-		Backend:       b.Name(),
-		Workers:       core.Workers(b),
-		Shards:        core.DefaultShards(),
-		EdgeCut:       edgeCut,
-		Quick:         opts.Quick,
-		WallMs:        float64(wall.Microseconds()) / 1e3,
-		Rows:          len(tab.Rows),
-		FusedRegions:  gcAfter.FusedRegions - gcBefore.FusedRegions,
-		GemmBlocked:   gcAfter.GemmBlocked - gcBefore.GemmBlocked,
-		Waves:         gcAfter.WavesScheduled - gcBefore.WavesScheduled,
-		WavesVerified: vsAfter.Waves - vsBefore.Waves,
+		Experiment:   e.ID,
+		Title:        e.Title,
+		Datasets:     opts.Datasets,
+		Backend:      b.Name(),
+		Workers:      core.Workers(b),
+		Shards:       core.DefaultShards(),
+		EdgeCut:      edgeCut,
+		Quick:        opts.Quick,
+		WallMs:       float64(wall.Microseconds()) / 1e3,
+		Rows:         len(tab.Rows),
+		FusedRegions: gcAfter.FusedRegions - gcBefore.FusedRegions,
+		GemmBlocked:  gcAfter.GemmBlocked - gcBefore.GemmBlocked,
 		Verified: (vsAfter.Plans > vsBefore.Plans || vsAfter.Programs > vsBefore.Programs) &&
 			vsAfter.Violations == vsBefore.Violations,
 	})

@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -68,7 +67,6 @@ func main() {
 	breakerN := flag.Int("breaker-threshold", 3, "consecutive kernel failures that trip a model's circuit breaker")
 	breakerCool := flag.Duration("breaker-cooldown", 2*time.Second, "open breaker cooldown before a half-open probe")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget after SIGTERM")
-	parallelSteps := flag.Bool("parallel-steps", false, "execute provably independent compiled steps concurrently (verified wave schedule)")
 	faults := flag.String("faults", "", "arm fault-injection points, e.g. 'queue-stall:after=1,limit=1,delay=2s;kernel-panic-load:every=1' (testing)")
 	debugAddr := flag.String("debug-addr", "", "operator-only debug listener with net/http/pprof (host:port; empty = off; never the serving port)")
 	tracePath := flag.String("trace", "", "write the collected Chrome trace-event JSON here after drain (openable in Perfetto)")
@@ -99,7 +97,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -batch %d (valid: 1 through %d)\n", *batch, maxBatchSize)
 		os.Exit(2)
 	}
-	program.SetParallelSteps(*parallelSteps)
 	if *faults != "" {
 		if err := faultinject.ParseAndArm(*faults); err != nil {
 			fmt.Fprintf(os.Stderr, "ugrapher-serve: -faults: %v\n", err)

@@ -41,7 +41,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/ops"
-	"repro/internal/program"
 	"repro/internal/schedule"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -69,7 +68,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot")
 	profile := flag.Bool("profile", false, "print a per-kernel profile table at exit")
-	parallelSteps := flag.Bool("parallel-steps", false, "with -model: execute provably independent compiled steps concurrently (verified wave schedule)")
 	flag.Parse()
 
 	// Exit codes: 1 = execution error, 2 = usage (bad flags or environment),
@@ -99,7 +97,6 @@ func main() {
 		}
 	}
 	core.SetCheckNumerics(*checkNumerics)
-	program.SetParallelSteps(*parallelSteps)
 	obs := telemetry.CLIOptions{TracePath: *tracePath, MetricsPath: *metricsPath, Profile: *profile}
 	obs.Begin()
 	ctx := context.Background()
@@ -216,12 +213,6 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	}
 	fmt.Printf("fusion: %d regions grown, %d kernel launches, %.1f KiB traffic saved, %d blocked GEMMs\n",
 		s.FusedRegions, s.Steps, float64(s.RegionSavedBytes)/(1<<10), s.GemmBlocked)
-	mode := "sequential"
-	if program.ParallelSteps() && s.MaxWaveWidth > 1 {
-		mode = "parallel"
-	}
-	fmt.Printf("waves: %d waves over %d steps, max width %d, execution %s\n",
-		s.Waves, s.Steps, s.MaxWaveWidth, mode)
 	fmt.Printf("compile: %v (record + fuse + schedule + buffer-plan, paid once)\n", compileTime.Round(time.Microsecond))
 	fmt.Printf("steady-state: %v/run over %d runs (zero allocations per run)\n", per.Round(time.Microsecond), runs)
 	return nil

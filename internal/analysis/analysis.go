@@ -84,16 +84,6 @@ const (
 	// canonical ascending shard order, so the merge would not be
 	// deterministic across runs.
 	RuleShardMergeOrder = "shard-merge-order"
-	// RuleStepDeps: a hazard between two compiled steps — a true, anti or
-	// output dependence re-derived from their arena effect intervals, or a
-	// shared scratch block — has no matching edge in the step-dependence
-	// DAG, or the DAG carries a malformed (backward or out-of-range) edge.
-	RuleStepDeps = "step-deps-sound"
-	// RuleWaveLegal: the wave schedule is not a topologically ordered
-	// partition of the steps, or two steps placed in the same wave share a
-	// write-write hazard, a read-write alias, or a scratch block — running
-	// them concurrently would race.
-	RuleWaveLegal = "wave-legal"
 )
 
 // ProgramRules lists the rules VerifyProgram checks, in report order.
@@ -111,9 +101,6 @@ var PlanRules = []string{RuleOperandType, RuleWriteConflict}
 var ShardRules = []string{
 	RuleShardNoAlias, RuleShardEdgeCover, RuleShardHaloCover, RuleShardMergeOrder,
 }
-
-// WaveRules lists the rules VerifyWaves checks, in report order.
-var WaveRules = []string{RuleStepDeps, RuleWaveLegal}
 
 // Diagnostic is one verifier finding: which rule, where, and how to fix it.
 type Diagnostic struct {
@@ -195,7 +182,6 @@ var (
 	programsVerified atomic.Int64
 	plansVerified    atomic.Int64
 	shardsVerified   atomic.Int64
-	wavesVerified    atomic.Int64
 	violationsFound  atomic.Int64
 )
 
@@ -207,8 +193,6 @@ type VerifyStats struct {
 	Plans int64
 	// ShardPlans is how many shard-plan verifications ran.
 	ShardPlans int64
-	// Waves is how many wave-schedule verifications ran.
-	Waves int64
 	// Violations is how many diagnostics all verifications produced.
 	Violations int64
 }
@@ -219,7 +203,6 @@ func Stats() VerifyStats {
 		Programs:   programsVerified.Load(),
 		Plans:      plansVerified.Load(),
 		ShardPlans: shardsVerified.Load(),
-		Waves:      wavesVerified.Load(),
 		Violations: violationsFound.Load(),
 	}
 }

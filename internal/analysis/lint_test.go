@@ -451,8 +451,21 @@ func f() {
 `)
 		wantClean(t, fs)
 	})
-	t.Run("unscoped package is not audited", func(t *testing.T) {
+	t.Run("untracked kernel-worker spawn in internal/core is flagged", func(t *testing.T) {
 		fs := lintOne(t, "internal/core", `package core
+func run(workers int) {
+	for w := 0; w < workers; w++ {
+		go func() {
+			for {
+			}
+		}()
+	}
+}
+`)
+		wantFinding(t, fs, LintGoroutineAccounting)
+	})
+	t.Run("unscoped package is not audited", func(t *testing.T) {
+		fs := lintOne(t, "internal/tensor", `package tensor
 func f() {
 	go func() {
 		for {

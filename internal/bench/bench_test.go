@@ -49,7 +49,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig16", "fig17", "fig18", "fig19", "fig2", "table8",
 		"table2", "table3", "table4", "table6", "table9",
 		"ablation-space", "ablation-sim", "ablation-predictor", "ext-training",
-		"ext-compile", "ext-fusion", "ext-waves",
+		"ext-compile", "ext-fusion",
 	}
 	have := map[string]bool{}
 	for _, e := range All() {

@@ -90,13 +90,6 @@ const (
 	// correct outputs; the shared KernelPanic point cannot express that,
 	// because the fallback rung fires it too.
 	KernelPanicLoad
-	// CorruptWaveSchedule corrupts the verified view of the step-dependence
-	// DAG and wave schedule, proving the wave rules fire. Seed selects the
-	// variant: 0 drops a hazard edge from the DAG view (step-deps-sound), 1
-	// hoists a dependent step into its producer's wave (wave-legal), 2 makes
-	// two same-wave steps share a scratch block in the view (wave-legal, and
-	// step-deps-sound for the now-missing scratch edge).
-	CorruptWaveSchedule
 
 	numPoints
 )
@@ -106,7 +99,6 @@ var pointNames = [numPoints]string{
 	"corrupt-operand-kind", "corrupt-fusion", "corrupt-buffer-plan", "corrupt-atomic-flag",
 	"corrupt-fusion-region", "corrupt-shard-plan",
 	"slow-handler", "queue-stall", "kernel-panic-load",
-	"corrupt-wave-schedule",
 }
 
 // String names the point.

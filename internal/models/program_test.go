@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/predictor"
 	"repro/internal/program"
 	"repro/internal/tensor"
@@ -41,8 +42,8 @@ func smallPredictor(t *testing.T) *predictor.Predictor {
 
 // TestCompiledMatchesForward is the golden equivalence suite: for every
 // model, the compiled program must reproduce the interpreter's Forward
-// within 1e-4, across both uGrapher engines (tuned and predicted) and both
-// host backends (reference and parallel).
+// within 1e-4, across both uGrapher engines (tuned and predicted) and three
+// host backends (reference, parallel, and sharded parallel at 4 shards).
 func TestCompiledMatchesForward(t *testing.T) {
 	g := smallGraph(t, 21)
 	const inFeat, classes = 12, 5
@@ -176,51 +177,80 @@ func TestGCNFusionReducesGraphOps(t *testing.T) {
 
 // TestCompiledRunZeroAllocs pins the steady-state guarantee: after compile,
 // Run allocates nothing — intermediates live in the arena, kernels reuse
-// their scratch, and sharded lowerings run from the scratch block the
-// program bound at compile time. A single-worker parallel backend keeps the
-// run on this goroutine so AllocsPerRun observes everything.
+// their scratch, and sharded lowerings run from the one scratch block the
+// program bound at compile time, sized for its largest sharded kernel. A
+// single-worker parallel backend keeps the run on this goroutine so
+// AllocsPerRun observes everything.
 func TestCompiledRunZeroAllocs(t *testing.T) {
 	g := smallGraph(t, 24)
 	const inFeat, classes = 16, 7
 	x := tensor.NewDense(g.NumVertices(), inFeat)
 	x.FillRandom(rand.New(rand.NewSource(3)), 1)
 
-	defer program.SetParallelSteps(false)
-	for _, parallel := range []bool{false, true} {
-		program.SetParallelSteps(parallel)
-		for _, shards := range []int{1, 4} {
-			eng := &FixedEngine{
-				EngineName:   "fixed-test",
-				Dev:          gpu.V100(),
-				AggrSchedule: core.DefaultSchedule,
-				MsgCSchedule: core.DefaultSchedule,
-				Fuses:        true,
-				Compute:      core.NewShardedParallelBackend(1, shards),
+	for _, shards := range []int{1, 4} {
+		rb := &recordingBackend{ExecBackend: core.NewShardedParallelBackend(1, shards)}
+		eng := &FixedEngine{
+			EngineName:   "fixed-test",
+			Dev:          gpu.V100(),
+			AggrSchedule: core.DefaultSchedule,
+			MsgCSchedule: core.DefaultSchedule,
+			Fuses:        true,
+			Compute:      rb,
+		}
+		for _, m := range All() {
+			rb.kerns = rb.kerns[:0]
+			cp, err := CompileModel(m, g, inFeat, classes, eng)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, m := range All() {
-				cp, err := CompileModel(m, g, inFeat, classes, eng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if shards > 1 && cp.Stats().Shards < 2 {
+			if shards > 1 {
+				if cp.Stats().Shards < 2 {
 					t.Fatalf("%s: shards=%d compiled without a sharded lowering (stats: %d)",
 						m.Name(), shards, cp.Stats().Shards)
 				}
-				if _, err := cp.Run(x); err != nil { // warm up
+				largest := 0
+				for _, k := range rb.kerns {
+					if sl, ok := k.(core.ShardedLowering); ok && sl.ShardScratchFloats() > largest {
+						largest = sl.ShardScratchFloats()
+					}
+				}
+				if largest == 0 {
+					t.Fatalf("%s shards=%d: no sharded kernel needs scratch; the block check would be vacuous", m.Name(), shards)
+				}
+				if got := cp.Stats().ShardScratchFloats; got != largest {
+					t.Errorf("%s shards=%d: ShardScratchFloats = %d, want one block of the largest kernel's %d",
+						m.Name(), shards, got, largest)
+				}
+			}
+			if _, err := cp.Run(x); err != nil { // warm up
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := cp.Run(x); err != nil {
 					t.Fatal(err)
 				}
-				allocs := testing.AllocsPerRun(10, func() {
-					if _, err := cp.Run(x); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s shards=%d parallel=%v: steady-state Run allocates %.1f objects/run, want 0",
-						m.Name(), shards, parallel, allocs)
-				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s shards=%d: steady-state Run allocates %.1f objects/run, want 0",
+					m.Name(), shards, allocs)
 			}
 		}
 	}
+}
+
+// recordingBackend wraps a backend and keeps every kernel it lowers, so a
+// test can inspect the kernels behind a compiled program.
+type recordingBackend struct {
+	core.ExecBackend
+	kerns []core.CompiledKernel
+}
+
+func (b *recordingBackend) Lower(p *core.Plan, g *graph.Graph, o core.Operands) (core.CompiledKernel, error) {
+	k, err := b.ExecBackend.Lower(p, g, o)
+	if err == nil {
+		b.kerns = append(b.kerns, k)
+	}
+	return k, err
 }
 
 // TestCompiledRunConcurrentGuard pins the documented concurrency contract:

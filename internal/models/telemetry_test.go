@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
@@ -187,37 +186,33 @@ func TestTracedRunZeroAllocs(t *testing.T) {
 	x := tensor.NewDense(g.NumVertices(), inFeat)
 	x.FillRandom(rand.New(rand.NewSource(3)), 1)
 
-	defer program.SetParallelSteps(false)
-	for _, parallel := range []bool{false, true} {
-		program.SetParallelSteps(parallel)
-		for _, shards := range []int{1, 4} {
-			eng := &FixedEngine{
-				EngineName:   "fixed-test",
-				Dev:          gpu.V100(),
-				AggrSchedule: core.DefaultSchedule,
-				MsgCSchedule: core.DefaultSchedule,
-				Fuses:        true,
-				Compute:      core.NewShardedParallelBackend(1, shards),
+	for _, shards := range []int{1, 4} {
+		eng := &FixedEngine{
+			EngineName:   "fixed-test",
+			Dev:          gpu.V100(),
+			AggrSchedule: core.DefaultSchedule,
+			MsgCSchedule: core.DefaultSchedule,
+			Fuses:        true,
+			Compute:      core.NewShardedParallelBackend(1, shards),
+		}
+		for _, m := range All() {
+			cp, err := CompileModel(m, g, inFeat, classes, eng)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, m := range All() {
-				cp, err := CompileModel(m, g, inFeat, classes, eng)
-				if err != nil {
+			ts := telemetry.NewTraceState(0, 0, 512)
+			ctx := telemetry.ContextWithTrace(context.Background(), ts)
+			if _, err := cp.RunCtx(ctx, x); err != nil { // warm up
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := cp.RunCtx(ctx, x); err != nil {
 					t.Fatal(err)
 				}
-				ts := telemetry.NewTraceState(0, 0, 512)
-				ctx := telemetry.ContextWithTrace(context.Background(), ts)
-				if _, err := cp.RunCtx(ctx, x); err != nil { // warm up
-					t.Fatal(err)
-				}
-				allocs := testing.AllocsPerRun(10, func() {
-					if _, err := cp.RunCtx(ctx, x); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s shards=%d parallel=%v: traced RunCtx allocates %.1f objects/run, want 0",
-						m.Name(), shards, parallel, allocs)
-				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s shards=%d: traced RunCtx allocates %.1f objects/run, want 0",
+					m.Name(), shards, allocs)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/analysis"
@@ -84,18 +83,9 @@ type Stats struct {
 	// the sharded kernels (0 when unsharded).
 	ShardEdgeCut float64
 	// ShardScratchFloats is the program-wide shard-partial scratch in
-	// float32 elements: blocks sized for the largest kernel, duplicated per
-	// the wave analyzer's verdict (waves.go) so same-wave sharded kernels
-	// never share one. Total across all blocks.
+	// float32 elements: one block sized for the largest kernel, shared by
+	// every sharded kernel since steps run sequentially.
 	ShardScratchFloats int
-	// Waves is the number of topological levels in the verified wave
-	// schedule (waves.go); every step in one wave is provably independent
-	// of its wave-mates.
-	Waves int
-	// MaxWaveWidth is the widest wave. 1 means the program is a pure chain:
-	// wave execution would add nothing, and RunCtx keeps the sequential
-	// loop even with -parallel-steps on.
-	MaxWaveWidth int
 }
 
 // step is one executable operation of the compiled program, with all tensors
@@ -112,13 +102,6 @@ type step struct {
 	kern    core.CompiledKernel
 	// pb is the packed weight panel of blocked GEMM steps (nil = naive loop).
 	pb *tensor.PackedB
-	// vx, vy, vout are the operand/output value ids, kept so the wave
-	// analyzer (waves.go) can resolve the step's arena effect intervals.
-	vx, vy, vout ValueID
-	// scratch is the shared sharded-scratch block this step's kernel is
-	// bound to (-1 = none); same-block steps are serialized by the wave
-	// schedule's scratch-conflict edges.
-	scratch int32
 }
 
 // regionsEnabled reports whether s opts into cost-modeled fusion regions:
@@ -177,21 +160,8 @@ type CompiledProgram struct {
 	steps  []step
 	stats  Stats
 	scheds []ScheduledOp
-	// slotOffsets is each arena slot's float offset, kept so the wave
-	// analyzer can turn slot assignments into effect intervals.
-	slotOffsets []int
-	// depEdges and waves are the verified step-dependence DAG and wave
-	// schedule (waves.go).
-	depEdges []analysis.DepEdge
-	waves    [][]int
 	// running guards against concurrent Run calls (0 = idle, 1 = running).
 	running atomic.Int32
-	// Wave-run state (waves.go): the active run's context, the per-wave
-	// barrier, and the mutex-guarded first step error.
-	wctx context.Context
-	wwg  sync.WaitGroup
-	wmu  sync.Mutex
-	werr error
 }
 
 // Compile lowers p onto graph g with schedules chosen by s and kernels
@@ -269,19 +239,17 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 
 	cp = &CompiledProgram{
 		pre: p, prog: work, g: g, plan: plan, arena: arena,
-		input:       views[work.Input],
-		output:      views[work.Output],
-		steps:       make([]step, 0, len(work.Nodes)),
-		stats:       stats,
-		slotOffsets: offsets,
+		input:  views[work.Input],
+		output: views[work.Output],
+		steps:  make([]step, 0, len(work.Nodes)),
+		stats:  stats,
 	}
 
 	// Pass 2: schedule assignment + one-time kernel lowering, interleaved
 	// with step construction.
 	for i := range work.Nodes {
 		n := &work.Nodes[i]
-		st := step{op: n.Op, name: n.Name, label: stepLabel(n.Op, n.Name), out: views[n.Out], scale: n.Scale, chain: n.Chain, inPlace: plan.InPlace[i],
-			vx: n.X, vy: n.Y, vout: n.Out, scratch: -1}
+		st := step{op: n.Op, name: n.Name, label: stepLabel(n.Op, n.Name), out: views[n.Out], scale: n.Scale, chain: n.Chain, inPlace: plan.InPlace[i]}
 		if n.X != NoValue {
 			st.x = views[n.X]
 		}
@@ -357,11 +325,9 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	}
 
 	// Sharded kernels: fold the partition shape into the stats and rebind
-	// per-shard partials onto program-owned blocks sized for the largest
-	// kernel. Which kernels may share a block is the wave analyzer's call
-	// (assignShardScratch, waves.go): same-wave users get distinct blocks
-	// so they can overlap, everyone else shares, and the program's shard
-	// scratch stops scaling with kernel count either way. The kernels
+	// every kernel's per-shard partials onto one program-owned block sized
+	// for the largest — steps run sequentially, so sharing is safe, and the
+	// program's shard scratch stops scaling with kernel count. The kernels
 	// re-initialise the scratch each Run, so the zero-alloc steady state is
 	// untouched.
 	cp.stats.Shards = 1
@@ -382,7 +348,13 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		}
 	}
 	if scratchFloats > 0 {
-		cp.assignShardScratch(scratchFloats)
+		cp.stats.ShardScratchFloats = scratchFloats
+		shardScratch := make([]float32, scratchFloats)
+		for i := range cp.steps {
+			if sl, ok := cp.steps[i].kern.(core.ShardedLowering); ok {
+				sl.BindShardScratch(shardScratch)
+			}
+		}
 	}
 
 	// Cross-check what the backend actually lowered: each kernel's declared
@@ -391,20 +363,9 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	if diags := verifyStepLowerings(cp); len(diags) > 0 {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, &analysis.VerifyError{Diags: diags})
 	}
-
-	// Step-effect dependence analysis (waves.go): derive the dependence DAG
-	// and wave schedule from the final effect sets (scratch blocks
-	// included), then prove them with the mandatory wave rules — a schedule
-	// that would race is unrepresentable as a successful compile.
-	cp.buildWaveSchedule()
-	if err := cp.verifyWaveSchedule(); err != nil {
-		return nil, fmt.Errorf("program: %s: %w", work.Model, err)
-	}
-
 	cp.stats.Steps = len(cp.steps)
 	fusedRegionsTotal.Add(int64(cp.stats.FusedRegions))
 	gemmBlockedTotal.Add(int64(cp.stats.GemmBlocked))
-	wavesScheduledTotal.Add(int64(cp.stats.Waves))
 	return cp, nil
 }
 
@@ -412,9 +373,8 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 // can report fusion-region and blocked-GEMM activity without threading every
 // CompiledProgram through.
 var (
-	fusedRegionsTotal   atomic.Int64
-	gemmBlockedTotal    atomic.Int64
-	wavesScheduledTotal atomic.Int64
+	fusedRegionsTotal atomic.Int64
+	gemmBlockedTotal  atomic.Int64
 )
 
 // GlobalCounters is a snapshot of the process-wide compile counters.
@@ -425,17 +385,13 @@ type GlobalCounters struct {
 	// GemmBlocked is the total count of GEMM steps compiled onto the packed
 	// column-panel kernel.
 	GemmBlocked int64
-	// WavesScheduled is the total count of verified wave levels across all
-	// compiled programs.
-	WavesScheduled int64
 }
 
 // GlobalStats snapshots the process-wide compile counters.
 func GlobalStats() GlobalCounters {
 	return GlobalCounters{
-		FusedRegions:   fusedRegionsTotal.Load(),
-		GemmBlocked:    gemmBlockedTotal.Load(),
-		WavesScheduled: wavesScheduledTotal.Load(),
+		FusedRegions: fusedRegionsTotal.Load(),
+		GemmBlocked:  gemmBlockedTotal.Load(),
 	}
 }
 
@@ -447,6 +403,11 @@ func stepLabel(op NodeOp, name string) string {
 	}
 	return op.String() + " " + name
 }
+
+// ParallelSteps reports whether compiled steps execute concurrently. It is
+// always false: RunCtx is one sequential step loop, and the parallelism is
+// inside each graph kernel (the strategy and grouping/tiling schedule).
+func ParallelSteps() bool { return false }
 
 // Run executes the compiled forward pass on input features x (|V| rows,
 // InCols columns). The returned tensor is the program's arena-resident
@@ -503,36 +464,15 @@ func (cp *CompiledProgram) RunCtx(ctx context.Context, x *tensor.Dense) (*tensor
 	// per-span context derivation, so the steady state stays zero-alloc.
 	run := telemetry.StartSpanCtx(ctx, "program", "run", "forward")
 	prevRun := run.MakeCurrent()
-	copy(cp.input.Data, x.Data)
-	var err error
-	if parallelSteps.Load() && cp.stats.MaxWaveWidth > 1 {
-		err = cp.runWaves(ctx)
-	} else {
-		err = cp.runSequential(ctx)
-	}
-	run.RestoreCurrent(prevRun)
-	if err != nil {
-		msg := err.Error()
-		if err == ctx.Err() {
-			msg = "cancelled"
-		}
-		run.EndErr(msg)
-		return nil, err
-	}
-	run.End()
-	telemetry.CountProgramRun()
-	return cp.output, nil
-}
-
-// runSequential is the classic step loop: one step at a time, each step
-// span made the trace's current parent so kernel spans nest below it.
-func (cp *CompiledProgram) runSequential(ctx context.Context) error {
 	done := ctx.Done()
+	copy(cp.input.Data, x.Data)
 	for i := range cp.steps {
 		if done != nil {
 			select {
 			case <-done:
-				return ctx.Err()
+				run.RestoreCurrent(prevRun)
+				run.EndErr("cancelled")
+				return nil, ctx.Err()
 			default:
 			}
 		}
@@ -542,12 +482,17 @@ func (cp *CompiledProgram) runSequential(ctx context.Context) error {
 		if err := cp.runStep(ctx, st); err != nil {
 			sp.RestoreCurrent(prevStep)
 			sp.EndErr(err.Error())
-			return err
+			run.RestoreCurrent(prevRun)
+			run.EndErr(err.Error())
+			return nil, err
 		}
 		sp.RestoreCurrent(prevStep)
 		sp.End()
 	}
-	return nil
+	run.RestoreCurrent(prevRun)
+	run.End()
+	telemetry.CountProgramRun()
+	return cp.output, nil
 }
 
 // runStep executes one compiled step against its prebound tensors.

@@ -140,42 +140,15 @@ func verifyStepLowerings(cp *CompiledProgram) []analysis.Diagnostic {
 	return diags
 }
 
-// waveFactsOf builds the wave verifier's view of the compiled schedule.
-// Effects, edges and waves are all fresh copies, so the corruption point
-// mutates only the view — the compiled artifacts stay intact.
-func (cp *CompiledProgram) waveFactsOf() analysis.WaveFacts {
-	f := analysis.WaveFacts{
-		Subject: cp.prog.Model,
-		Steps:   cp.stepEffects(),
-		Edges:   append([]analysis.DepEdge(nil), cp.depEdges...),
-		Waves:   make([][]int, len(cp.waves)),
-	}
-	for i, w := range cp.waves {
-		f.Waves[i] = append([]int(nil), w...)
-	}
-	return f
-}
-
-// verifyWaveSchedule runs the mandatory wave rules (step-deps-sound,
-// wave-legal) over the compiled dependence DAG and wave schedule.
-func (cp *CompiledProgram) verifyWaveSchedule() error {
-	f := cp.waveFactsOf()
-	if faultinject.Fire(faultinject.CorruptWaveSchedule) {
-		corruptWaves(&f, faultinject.SpecOf(faultinject.CorruptWaveSchedule).Seed)
-	}
-	return analysis.VerifyWaves(f)
-}
-
 // Verify re-runs the full static analysis over the compiled program — the
-// program-level rules, the per-kernel lowering cross-check, and the wave
-// rules — and returns a structured report. Compilation already ran the same
-// checks and failed on violations, so a clean compile reports clean here
-// unless a corruption point is armed.
+// program-level rules plus the per-kernel lowering cross-check — and
+// returns a structured report. Compilation already ran the same checks and
+// failed on violations, so a clean compile reports clean here unless a
+// corruption point is armed.
 func (cp *CompiledProgram) Verify() analysis.Report {
 	rep := analysis.Report{
-		Subject: cp.prog.Model,
-		RulesChecked: append(append(append([]string(nil), analysis.ProgramRules...),
-			analysis.RuleWriteConflict), analysis.WaveRules...),
+		Subject:      cp.prog.Model,
+		RulesChecked: append(append([]string(nil), analysis.ProgramRules...), analysis.RuleWriteConflict),
 	}
 	err := verifyCompilation(cp.pre, cp.prog, cp.plan, cp.g.NumVertices(), cp.g.NumEdges())
 	var ve *analysis.VerifyError
@@ -183,9 +156,6 @@ func (cp *CompiledProgram) Verify() analysis.Report {
 		rep.Diags = append(rep.Diags, ve.Diags...)
 	}
 	rep.Diags = append(rep.Diags, verifyStepLowerings(cp)...)
-	if errors.As(cp.verifyWaveSchedule(), &ve) {
-		rep.Diags = append(rep.Diags, ve.Diags...)
-	}
 	return rep
 }
 
@@ -341,65 +311,6 @@ func corruptRegion(c *analysis.ProgramCheck, seed uint64) {
 		}
 	default:
 		n.RegionSavedBytes = 1 << 50
-	}
-}
-
-// corruptWaves corrupts the wave verifier's view. Seed 0 drops the last
-// hazard edge from the DAG (step-deps-sound); seed 1 hoists a dependent
-// step into its producer's wave (wave-legal); seed 2 makes the first two
-// steps share a phantom scratch block and a wave (wave-legal, plus
-// step-deps-sound for the now-missing scratch edge).
-func corruptWaves(f *analysis.WaveFacts, seed uint64) {
-	switch seed {
-	case 1:
-		if len(f.Edges) == 0 {
-			return
-		}
-		e := f.Edges[0]
-		var wFrom int
-		for w, wave := range f.Waves {
-			for _, s := range wave {
-				if s == e.From {
-					wFrom = w
-				}
-			}
-		}
-		for w, wave := range f.Waves {
-			for k, s := range wave {
-				if s == e.To && w != wFrom {
-					f.Waves[w] = append(wave[:k:k], wave[k+1:]...)
-					f.Waves[wFrom] = append(f.Waves[wFrom], e.To)
-					return
-				}
-			}
-		}
-	case 2:
-		if len(f.Steps) < 2 {
-			return
-		}
-		f.Steps[0].ScratchID = 7777
-		f.Steps[1].ScratchID = 7777
-		var w0 int
-		for w, wave := range f.Waves {
-			for _, s := range wave {
-				if s == 0 {
-					w0 = w
-				}
-			}
-		}
-		for w, wave := range f.Waves {
-			for k, s := range wave {
-				if s == 1 && w != w0 {
-					f.Waves[w] = append(wave[:k:k], wave[k+1:]...)
-					f.Waves[w0] = append(f.Waves[w0], 1)
-					return
-				}
-			}
-		}
-	default:
-		if n := len(f.Edges); n > 0 {
-			f.Edges = f.Edges[:n-1]
-		}
 	}
 }
 
